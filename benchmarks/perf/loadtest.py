@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core import CATEHGN
+from repro.serve.http import encode_request, read_response
 
 from ..common import bench_config, bench_datasets
 
@@ -47,28 +48,8 @@ IDS_PER_REQUEST = 4
 
 
 # ---------------------------------------------------------------------------
-# Minimal asyncio HTTP/1.1 client (keep-alive, Content-Length framed)
+# Keep-alive client on the shared codec (repro.serve.http)
 # ---------------------------------------------------------------------------
-
-async def _read_response(reader: asyncio.StreamReader) -> Tuple[int, dict, bytes]:
-    status_line = await reader.readline()
-    if not status_line:
-        raise ConnectionResetError("server closed connection")
-    parts = status_line.decode("latin-1").split(None, 2)
-    status = int(parts[1])
-    headers: Dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    body = b""
-    length = int(headers.get("content-length") or 0)
-    if length:
-        body = await reader.readexactly(length)
-    return status, headers, body
-
 
 #: Reconnect-and-retry attempts per request: a keep-alive connection the
 #: server idled out (or a reset under extreme accept pressure) is
@@ -91,7 +72,7 @@ async def _client(host: str, port: int, requests: List[bytes],
                             host, port)
                     writer.write(payload)
                     await writer.drain()
-                    status, headers, _body = await _read_response(reader)
+                    response = await read_response(reader)
                 except (ConnectionResetError, ConnectionRefusedError,
                         BrokenPipeError, asyncio.IncompleteReadError):
                     if writer is not None:
@@ -104,8 +85,8 @@ async def _client(host: str, port: int, requests: List[bytes],
             # Latency spans the whole request including any re-dial —
             # that is what a caller would experience.
             latencies.append(loop.time() - start)
-            statuses.append(status)
-            if headers.get("connection", "").lower() == "close":
+            statuses.append(response.status)
+            if response.close:
                 writer.close()
                 writer = None
     finally:
@@ -115,12 +96,10 @@ async def _client(host: str, port: int, requests: List[bytes],
 
 def _encode_request(paper_ids: List[int]) -> bytes:
     body = json.dumps({"paper_ids": paper_ids}).encode()
-    head = (f"POST /predict HTTP/1.1\r\n"
-            f"Host: loadtest\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: keep-alive\r\n\r\n")
-    return head.encode() + body
+    return encode_request("POST", "/predict", body,
+                          {"Host": "loadtest",
+                           "Content-Type": "application/json",
+                           "Connection": "keep-alive"})
 
 
 def _workload(concurrency: int, per_client: int,

@@ -20,6 +20,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from ..serve.http import FramingError, encode_request, read_response
+
 __all__ = ["LoadResult", "run_load", "predict_scripts"]
 
 #: Re-dial attempts per request before recording a client-side failure.
@@ -72,23 +74,6 @@ def predict_scripts(num_clients: int, per_client: int, num_papers: int,
     return scripts
 
 
-async def _read_response(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
-    line = await reader.readline()
-    if not line:
-        raise ConnectionResetError("server closed connection")
-    status = int(line.split()[1])
-    length = 0
-    while True:
-        header = await reader.readline()
-        if header in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = header.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            length = int(value.strip())
-    body = await reader.readexactly(length) if length else b""
-    return status, body
-
-
 async def _run_client(client_idx: int, host: str, port: int,
                       script: Sequence[bytes], result: LoadResult,
                       keep_bodies: bool, lock: asyncio.Lock) -> None:
@@ -105,10 +90,9 @@ async def _run_client(client_idx: int, host: str, port: int,
         reader = writer = None
 
     for req_idx, body in enumerate(script):
-        request = (b"POST /predict HTTP/1.1\r\n"
-                   b"Host: fleet\r\nContent-Type: application/json\r\n"
-                   b"Content-Length: " + str(len(body)).encode() +
-                   b"\r\n\r\n" + body)
+        request = encode_request("POST", "/predict", body,
+                                 {"Host": "fleet",
+                                  "Content-Type": "application/json"})
         answered = False
         for attempt in range(CLIENT_RETRIES):
             t0 = time.perf_counter()
@@ -118,20 +102,21 @@ async def _run_client(client_idx: int, host: str, port: int,
                         asyncio.open_connection(host, port), REQUEST_TIMEOUT)
                 writer.write(request)
                 await asyncio.wait_for(writer.drain(), REQUEST_TIMEOUT)
-                status, raw = await asyncio.wait_for(
-                    _read_response(reader), REQUEST_TIMEOUT)
-            except (OSError, asyncio.TimeoutError, ValueError, IndexError,
+                response = await asyncio.wait_for(
+                    read_response(reader), REQUEST_TIMEOUT)
+            except (OSError, asyncio.TimeoutError, FramingError,
                     asyncio.IncompleteReadError):
                 await _close()
                 await asyncio.sleep(RETRY_BACKOFF * (2 ** attempt))
                 continue
             elapsed = time.perf_counter() - t0
             async with lock:
-                result.statuses.append(status)
+                result.statuses.append(response.status)
                 result.latencies.append(elapsed)
                 if keep_bodies:
                     try:
-                        result.bodies[(client_idx, req_idx)] = json.loads(raw)
+                        result.bodies[(client_idx, req_idx)] = json.loads(
+                            response.body)
                     except json.JSONDecodeError:
                         result.bodies[(client_idx, req_idx)] = {}
             answered = True

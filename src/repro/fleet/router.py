@@ -7,6 +7,10 @@ forwards the request to that replica over a pooled keep-alive
 connection, and relays the response — stamped with ``X-Fleet-Replica``
 so tests and drills can observe placement.
 
+Both sides speak HTTP/1.1 through :mod:`repro.serve.http`; a client
+request gets a replica's own caps and deadline (431/413/400) before any
+replica sees it.
+
 Failover: connection-refused / reset / timeout errors walk the ring's
 successor list with exponential backoff.  Predictions are idempotent
 reads, so replaying a request against the next replica preserves
@@ -33,6 +37,9 @@ import json
 import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..serve.http import (MAX_BODY_BYTES, READ_TIMEOUT, BackgroundServer,
+                          FramingError, Response, encode_request,
+                          read_response, serve_connection)
 from .heartbeat import http_json
 from .ring import HashRing
 
@@ -47,10 +54,6 @@ FAILOVER_BACKOFF = 0.02
 #: Extra full ring passes after the first (a just-restarted replica may
 #: need one more probe round before it accepts connections).
 RING_PASSES = 3
-
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            409: "Conflict", 500: "Internal Server Error",
-            502: "Bad Gateway", 503: "Service Unavailable"}
 
 
 class FleetRouter:
@@ -128,7 +131,12 @@ class FleetRouter:
     async def start(self, host: str = "127.0.0.1",
                     port: int = 0) -> Tuple[str, int]:
         self._server = await asyncio.start_server(
-            self._handle_client, host, port, backlog=2048)
+            # A replica's body cap and read deadline, so the router
+            # answers 431/413/400 up front exactly as a replica would.
+            lambda reader, writer: serve_connection(
+                reader, writer, self._handle,
+                timeout=READ_TIMEOUT, max_body=MAX_BODY_BYTES),
+            host, port, backlog=2048)
         bound = self._server.sockets[0].getsockname()
         return bound[0], bound[1]
 
@@ -144,80 +152,28 @@ class FleetRouter:
             for _, writer in pool:
                 writer.close()
 
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive:
-                    break
-        except (BrokenPipeError, ConnectionResetError):  # noqa: R005 — client hung up mid-exchange
-            pass
-        finally:
-            writer.close()
-            try:
-                await asyncio.wait_for(writer.wait_closed(), 5.0)
-            except (OSError, asyncio.TimeoutError):  # noqa: R005 — client already gone
-                pass
-
-    async def _handle_one(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> bool:
-        try:
-            line = await asyncio.wait_for(reader.readline(), RESPONSE_TIMEOUT)
-        except asyncio.TimeoutError:
-            return False
-        if not line or not line.strip():
-            return False
-        try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
-        except ValueError:
-            await self._respond(writer, 400,
-                                {"error": "malformed request line"})
-            return False
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await asyncio.wait_for(reader.readline(), RESPONSE_TIMEOUT)
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
-        body = b""
-        if length > 0:
-            try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), RESPONSE_TIMEOUT)
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-                await self._respond(writer, 400,
-                                    {"error": "request body truncated"})
-                return False
-        client_close = headers.get("connection", "").lower() == "close"
+    async def _handle(self, method: str, target: str,
+                      _headers: Dict[str, str],
+                      body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
         with self._lock:
             self._counters["requests"] += 1
         if self.verbose:
             print(f"fleet {method} {target}")
-
         path = target.split("?", 1)[0]
         local = await self._handle_local(method, path, body)
         if local is not None:
             payload, status = local
-            await self._respond(writer, status, payload, close=client_close)
-            return not client_close
-
-        replica, status, resp_headers, resp_body = await self._forward(
-            method, target, headers, body)
-        if replica is None:
-            await self._respond(
-                writer, 503,
-                {"error": "no fleet replica reachable", "retry_after": 1},
-                extra={"Retry-After": "1"}, close=client_close)
-            return not client_close
+            return status, json.dumps(payload).encode(), {}
+        forwarded = await self._forward(method, target, body)
+        if forwarded is None:
+            unroutable = {"error": "no fleet replica reachable",
+                          "retry_after": 1}
+            return 503, json.dumps(unroutable).encode(), {"Retry-After": "1"}
+        replica, response = forwarded
         out_headers = {"X-Fleet-Replica": replica}
-        if "retry-after" in resp_headers:
-            out_headers["Retry-After"] = resp_headers["retry-after"]
-        await self._respond_raw(writer, status, resp_body, out_headers,
-                                close=client_close)
-        return not client_close
+        if "retry-after" in response.headers:
+            out_headers["Retry-After"] = response.headers["retry-after"]
+        return response.status, response.body, out_headers
 
     # ------------------------------------------------------------------
     # Local endpoints
@@ -287,13 +243,13 @@ class FleetRouter:
             return self.ring.successors(key)
 
     async def _forward(self, method: str, target: str,
-                       headers: Dict[str, str], body: bytes):
+                       body: bytes) -> Optional[Tuple[str, Response]]:
         """Try the affinity owner, then ring successors, with backoff.
 
-        Returns ``(replica, status, resp_headers, resp_body)`` or
-        ``(None, ...)`` when every attempt failed at the connection
-        level.  Membership is re-read between passes so a replica the
-        supervisor restarts mid-request becomes routable again.
+        Returns ``(replica, response)``, or ``None`` when every attempt
+        failed at the connection level.  Membership is re-read between
+        passes so a replica the supervisor restarts mid-request becomes
+        routable again.
         """
         attempt = 0
         for _pass in range(1 + RING_PASSES):
@@ -310,64 +266,52 @@ class FleetRouter:
                         min(1.0, FAILOVER_BACKOFF * (2 ** min(attempt, 6))))
                 attempt += 1
                 try:
-                    result = await self._forward_once(
-                        name, addr, method, target, headers, body)
+                    response = await self._forward_once(
+                        name, addr, method, target, body)
                 except (OSError, asyncio.TimeoutError,
-                        asyncio.IncompleteReadError):
+                        asyncio.IncompleteReadError, FramingError):
                     continue
                 with self._lock:
                     self._counters["forwarded"] += 1
-                return (name, *result)
+                return name, response
         with self._lock:
             self._counters["unroutable"] += 1
-        return None, 503, {}, b""
+        return None
 
     async def _forward_once(self, name: str, addr: Tuple[str, int],
                             method: str, target: str,
-                            headers: Dict[str, str], body: bytes):
+                            body: bytes) -> Response:
         conn = self._checkout(name)
         if conn is None:
             conn = await asyncio.wait_for(
                 asyncio.open_connection(addr[0], addr[1]), CONNECT_TIMEOUT)
         reader, writer = conn
-        head = [f"{method} {target} HTTP/1.1",
-                f"Host: {addr[0]}:{addr[1]}",
-                "Content-Type: application/json",
-                f"Content-Length: {len(body)}"]
-        request = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
         try:
-            writer.write(request)
+            writer.write(encode_request(
+                method, target, body,
+                {"Host": f"{addr[0]}:{addr[1]}",
+                 "Content-Type": "application/json"}))
             await asyncio.wait_for(writer.drain(), RESPONSE_TIMEOUT)
-            status, resp_headers, resp_body = await asyncio.wait_for(
-                self._read_replica_response(reader), RESPONSE_TIMEOUT)
+            response = await asyncio.wait_for(read_response(reader),
+                                              RESPONSE_TIMEOUT)
         except BaseException:
             writer.close()
             raise
         self._checkin(name, reader, writer)
-        return status, resp_headers, resp_body
-
-    async def _read_replica_response(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
-        if not line:
-            raise ConnectionResetError("replica closed connection")
-        status = int(line.split()[1])
-        resp_headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            resp_headers[name.strip().lower()] = value.strip()
-        length = int(resp_headers.get("content-length") or 0)
-        body = await reader.readexactly(length) if length else b""
-        return status, resp_headers, body
+        return response
 
     def _checkout(self, name: str):
-        with self._lock:
-            pool = self._pools.get(name)
-            if pool:
-                return pool.pop()
-        return None
+        while True:
+            with self._lock:
+                pool = self._pools.get(name)
+                if not pool:
+                    return None
+                reader, writer = pool.pop()
+            if not reader.at_eof():
+                return reader, writer
+            # The replica closed it (idle deadline); using it would fail
+            # over to a ring successor and lose affinity.
+            writer.close()
 
     def _checkin(self, name: str, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter) -> None:
@@ -377,107 +321,11 @@ class FleetRouter:
                 return
         writer.close()
 
-    # ------------------------------------------------------------------
-    # Response writing
-    # ------------------------------------------------------------------
-    async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload: dict, extra: Optional[Dict[str, str]] = None,
-                       close: bool = False) -> None:
-        await self._respond_raw(writer, status, json.dumps(payload).encode(),
-                                extra or {}, close=close)
 
-    async def _respond_raw(self, writer: asyncio.StreamWriter, status: int,
-                           body: bytes, extra: Dict[str, str],
-                           close: bool = False) -> None:
-        reason = _REASONS.get(status, "Unknown")
-        head = [f"HTTP/1.1 {status} {reason}",
-                "Content-Type: application/json",
-                f"Content-Length: {len(body)}",
-                "Server: repro-fleet-router/1.0"]
-        for name, value in extra.items():
-            head.append(f"{name}: {value}")
-        if close:
-            head.append("Connection: close")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
-        try:
-            await asyncio.wait_for(writer.drain(), RESPONSE_TIMEOUT)
-        except (OSError, asyncio.TimeoutError):  # noqa: R005 — client already gone
-            pass
-
-
-class BackgroundRouter:
-    """The router on its own thread + event loop (mirrors the aio server)."""
+class BackgroundRouter(BackgroundServer):
+    """The router on its own thread + event loop."""
 
     def __init__(self, router: FleetRouter, host: str = "127.0.0.1",
                  port: int = 0) -> None:
+        super().__init__(router, host, port, name="repro-fleet-router")
         self.router = router
-        self._host = host
-        self._port = port
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._thread: Optional[threading.Thread] = None
-        self._bound: Optional[Tuple[str, int]] = None
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self, timeout: float = 30.0) -> Tuple[str, int]:
-        self._thread = threading.Thread(target=self._thread_main,
-                                        daemon=True,
-                                        name="repro-fleet-router")
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("fleet router did not start in time")
-        if self._startup_error is not None:
-            raise RuntimeError("fleet router failed to start") \
-                from self._startup_error
-        if self._bound is None:
-            raise RuntimeError("fleet router reported ready without binding")
-        return self._bound
-
-    def shutdown(self, timeout: float = 30.0) -> None:
-        if self._loop is not None and self._stop_event is not None \
-                and not self._loop.is_closed():
-            try:
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:  # noqa: R005 — loop closed between check and call: already down
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
-
-    def _thread_main(self) -> None:
-        async def _main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop_event = asyncio.Event()
-            try:
-                self._bound = await self.router.start(self._host, self._port)
-            except BaseException as exc:
-                self._startup_error = exc
-                self._ready.set()
-                return
-            self._ready.set()
-            await self._stop_event.wait()
-            await self.router.stop()
-            # Drain in-flight connection handlers ourselves: cancelling
-            # and *gathering* them retrieves their CancelledErrors, so a
-            # router killed mid-forward never spills "exception was
-            # never retrieved" tracebacks into drill/test output.  The
-            # handler filter covers CPython 3.11's StreamReaderProtocol
-            # done-callback, which calls task.exception() on the
-            # cancelled task and re-raises the CancelledError into the
-            # loop's exception handler.
-            def _quiet_cancelled(loop: asyncio.AbstractEventLoop,
-                                 context: dict) -> None:
-                if isinstance(context.get("exception"),
-                              asyncio.CancelledError):
-                    return  # expected: handlers axed mid-shutdown
-                loop.default_exception_handler(context)
-
-            self._loop.set_exception_handler(_quiet_cancelled)
-            pending = [t for t in asyncio.all_tasks()
-                       if t is not asyncio.current_task()]
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(*pending, return_exceptions=True)
-
-        asyncio.run(_main())

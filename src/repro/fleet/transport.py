@@ -855,16 +855,18 @@ class FaultyTransport:
                         time.sleep(event.delay_s)
                     frame = self.codec.encode_frame(payload, out_seq)
                     copies = 2 if event.duplicate else 1
+                    out_seq += 1
+                    # Count before sending: the peer can answer (and a
+                    # caller read the counters) before sendall returns.
+                    with self._lock:
+                        self.counters["forwarded"] += 1
+                        if event.duplicate:
+                            self.counters["duplicated"] += 1
                     try:
                         for _ in range(copies):
                             dst.sendall(frame)
                     except OSError:
                         return
-                    out_seq += 1
-                    with self._lock:
-                        self.counters["forwarded"] += 1
-                        if event.duplicate:
-                            self.counters["duplicated"] += 1
         finally:
             src.close()
             dst.close()

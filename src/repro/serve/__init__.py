@@ -4,73 +4,59 @@ The deployment story of the reproduction (DESIGN §11): train an estimator,
 :func:`save_catehgn` it to a versioned ``.npz`` checkpoint, freeze it into
 an :class:`InferenceEngine` (one tape-free forward per graph snapshot),
 and expose predictions over stdlib HTTP via ``python -m repro.serve``.
+
+The public names below are imported on first use, so importing a light
+submodule (the fleet router imports only :mod:`repro.serve.http`) does not
+load the engine, the model code and scipy into the router process.
 """
 
-from .aio import (
-    AdmissionFull,
-    AdmissionQueue,
-    AsyncPredictionServer,
-    BackgroundAsyncServer,
-    BatchSettings,
-    BatchingMetrics,
-    DynamicBatcher,
-    serve_forever_aio,
-)
-from .breaker import CircuitBreaker
-from .cache import LRUCache
-from .checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
-    Checkpoint,
-    RestoredCATEHGN,
-    load_checkpoint,
-    load_gnn_baseline,
-    restore_catehgn,
-    save_catehgn,
-    save_checkpoint,
-    save_gnn_baseline,
-)
-from .degrade import ReloadRejected, ServingRuntime
-from .engine import InferenceEngine
-from .metrics import ServiceMetrics
-from .prior import PriorHead
-from .service import (
-    InflightLimiter,
-    ResilientHTTPServer,
-    ServiceError,
-    ServiceLimits,
-    make_server,
-    serve_forever,
-)
+import importlib
 
-__all__ = [
-    "AdmissionFull",
-    "AdmissionQueue",
-    "AsyncPredictionServer",
-    "BackgroundAsyncServer",
-    "BatchSettings",
-    "BatchingMetrics",
-    "CHECKPOINT_FORMAT_VERSION",
-    "Checkpoint",
-    "CircuitBreaker",
-    "DynamicBatcher",
-    "InferenceEngine",
-    "InflightLimiter",
-    "LRUCache",
-    "PriorHead",
-    "ReloadRejected",
-    "ResilientHTTPServer",
-    "RestoredCATEHGN",
-    "ServiceError",
-    "ServiceLimits",
-    "ServiceMetrics",
-    "ServingRuntime",
-    "load_checkpoint",
-    "load_gnn_baseline",
-    "make_server",
-    "restore_catehgn",
-    "save_catehgn",
-    "save_checkpoint",
-    "save_gnn_baseline",
-    "serve_forever",
-    "serve_forever_aio",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AdmissionFull": "aio",
+    "AdmissionQueue": "aio",
+    "AsyncPredictionServer": "aio",
+    "BackgroundAsyncServer": "aio",
+    "BatchSettings": "aio",
+    "BatchingMetrics": "aio",
+    "DynamicBatcher": "aio",
+    "serve_forever_aio": "aio",
+    "CircuitBreaker": "breaker",
+    "LRUCache": "cache",
+    "CHECKPOINT_FORMAT_VERSION": "checkpoint",
+    "Checkpoint": "checkpoint",
+    "RestoredCATEHGN": "checkpoint",
+    "load_checkpoint": "checkpoint",
+    "load_gnn_baseline": "checkpoint",
+    "restore_catehgn": "checkpoint",
+    "save_catehgn": "checkpoint",
+    "save_checkpoint": "checkpoint",
+    "save_gnn_baseline": "checkpoint",
+    "ReloadRejected": "degrade",
+    "ServingRuntime": "degrade",
+    "InferenceEngine": "engine",
+    "ServiceMetrics": "metrics",
+    "PriorHead": "prior",
+    "InflightLimiter": "service",
+    "ResilientHTTPServer": "service",
+    "ServiceError": "service",
+    "ServiceLimits": "service",
+    "make_server": "service",
+    "serve_forever": "service",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -48,22 +48,35 @@ def build_parser() -> argparse.ArgumentParser:
                      help="admission queue bound; excess requests are shed "
                           "with 503 + Retry-After")
     limits = parser.add_argument_group("limits (DESIGN §12)")
-    limits.add_argument("--max-inflight", type=int, default=64,
-                        help="max concurrently-executing requests; excess "
-                             "is shed with 503 + Retry-After")
+    limits.add_argument("--max-inflight", type=int, default=None,
+                        help="threaded server only (default 64): max "
+                             "concurrently-executing requests; excess is "
+                             "shed with 503 + Retry-After (--aio sheds past "
+                             "--queue-depth instead)")
     limits.add_argument("--max-body-bytes", type=int, default=1 << 20,
                         help="reject larger request bodies with 413")
     limits.add_argument("--read-timeout", type=float, default=5.0,
                         help="socket read timeout in seconds (stalled or "
                              "truncating clients get 400)")
     limits.add_argument("--deadline", type=float, default=None,
-                        help="per-request deadline in seconds; late "
-                             "responses become 504 (default: off)")
+                        help="threaded server only: per-request deadline "
+                             "in seconds; late responses become 504 "
+                             "(default: off)")
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.aio and (args.max_inflight is not None
+                     or args.deadline is not None):
+        parser.error("--max-inflight and --deadline apply to the threaded "
+                     "server only; --aio sheds load past --queue-depth")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     # Imports after arg parsing so --help stays instant.
     from .engine import InferenceEngine
     from .service import ServiceLimits, serve_forever
@@ -73,6 +86,8 @@ def main(argv=None) -> int:
         micro_batch=args.micro_batch,
         mmap_mode="r" if args.mmap else None,
     )
+    if args.max_inflight is None:
+        args.max_inflight = ServiceLimits.max_inflight  # the default, 64
     limits = ServiceLimits(max_body_bytes=args.max_body_bytes,
                            max_inflight=args.max_inflight,
                            read_timeout=args.read_timeout,

@@ -9,8 +9,9 @@ loop, and every concurrent ``/predict``/``/rank`` funneled through the
 :class:`~repro.serve.aio.batcher.DynamicBatcher` so overlapping
 requests share a single tape-free engine forward.
 
-stdlib-only: ``asyncio.start_server`` plus a hand-rolled HTTP/1.1
-request parser (keep-alive aware) keeps the zero-dependency constraint.
+stdlib-only: ``asyncio.start_server`` plus the shared HTTP/1.1 codec
+:mod:`repro.serve.http` (keep-alive, head and body caps, one deadline
+per head); this module only supplies the request handler.
 The degraded-mode story is unchanged — predictions flow through the
 PR-5 :class:`~repro.serve.degrade.ServingRuntime`, so breaker trips
 fall back model → cache → prior and still answer 200.
@@ -25,19 +26,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from ..degrade import ReloadRejected, ServingRuntime
+from ..http import BackgroundServer, serve_connection
 from ..metrics import ServiceMetrics
 from ..service import CONTROL_ENDPOINTS, ServiceError, ServiceLimits
 from .admission import AdmissionFull
 from .batcher import BatchSettings, DynamicBatcher
-
-#: Hard cap on request-line + header bytes (not payload, which has its
-#: own ``max_body_bytes`` limit).
-MAX_HEADER_BYTES = 16 * 1024
 
 
 class AsyncPredictionServer:
@@ -70,7 +67,13 @@ class AsyncPredictionServer:
         # connections at once; asyncio's default backlog of 100 would
         # reset the overflow before the loop ever sees it.
         self._server = await asyncio.start_server(
-            self._handle_client, host, port, backlog=backlog)
+            lambda reader, writer: serve_connection(
+                reader, writer, self._handle,
+                timeout=self.limits.read_timeout,
+                max_body=self.limits.max_body_bytes,
+                on_disconnect=lambda: self.metrics.record_disconnect(
+                    "<connection>")),
+            host, port, backlog=backlog)
         bound = self._server.sockets[0].getsockname()
         return bound[0], bound[1]
 
@@ -82,132 +85,14 @@ class AsyncPredictionServer:
         await self.batcher.stop()
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Routing (framing lives in repro.serve.http)
     # ------------------------------------------------------------------
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive:
-                    break
-        except (BrokenPipeError, ConnectionResetError):
-            self.metrics.record_disconnect("<connection>")
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (BrokenPipeError, ConnectionResetError, OSError):  # noqa: R005 — connection already gone
-                pass
-            except asyncio.CancelledError:  # noqa: R005 — server shutdown cancelled the drain
-                # stop() closing the loop cancels handlers mid-drain;
-                # the transport is torn down either way, and re-raising
-                # from a finally would just spam the loop's exception
-                # handler for every lingering keep-alive connection.
-                pass
-
-    async def _handle_one(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> bool:
-        """Parse and answer one request; returns keep-alive."""
-        timeout = self.limits.read_timeout
-        try:
-            line = await asyncio.wait_for(reader.readline(), timeout)
-        except asyncio.TimeoutError:
-            return False  # idle keep-alive connection: close quietly
-        if not line or not line.strip():
-            return False
-        try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
-        except ValueError:
-            await self._respond(writer, "<parse>",
-                                {"error": "malformed request line"}, 400,
-                                close=True)
-            return False
-
-        headers: Dict[str, str] = {}
-        header_bytes = len(line)
-        while True:
-            try:
-                raw = await asyncio.wait_for(reader.readline(), timeout)
-            except asyncio.TimeoutError:
-                return False
-            header_bytes += len(raw)
-            if header_bytes > MAX_HEADER_BYTES:
-                await self._respond(writer, "<parse>",
-                                    {"error": "headers too large"}, 431,
-                                    close=True)
-                return False
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-
-        parsed = urlparse(target)
-        endpoint = parsed.path
-        client_close = headers.get("connection", "").lower() == "close"
+    async def _handle(self, method: str, target: str, _headers: Dict[str, str],
+                      body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
         if self.verbose:
             print(f"aio {method} {target}")
-
-        # -- body --------------------------------------------------------
-        length = int(headers.get("content-length") or 0)
-        if length > self.limits.max_body_bytes:
-            # Never read the oversized payload; close so unread bytes
-            # cannot be misparsed as a follow-up request.
-            await self._respond(
-                writer, endpoint,
-                {"error": f"request body of {length} bytes exceeds the "
-                          f"{self.limits.max_body_bytes}-byte limit"},
-                413, close=True)
-            return False
-        body = b""
-        if length > 0:
-            try:
-                body = await asyncio.wait_for(reader.readexactly(length),
-                                              timeout)
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-                await self._respond(
-                    writer, endpoint,
-                    {"error": f"request body truncated: Content-Length "
-                              f"{length} not received within {timeout}s"},
-                    400, close=True)
-                return False
-
-        payload, status, extra = await self._dispatch(
-            method, endpoint, parsed.query, body)
-        sent = await self._respond(writer, endpoint, payload, status,
-                                   headers=extra, close=client_close)
-        return sent and not client_close
-
-    async def _respond(self, writer: asyncio.StreamWriter, endpoint: str,
-                       payload: dict, status: int,
-                       headers: Optional[Dict[str, str]] = None,
-                       close: bool = False) -> bool:
-        body = json.dumps(payload).encode()
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  409: "Conflict", 413: "Payload Too Large",
-                  431: "Request Header Fields Too Large",
-                  500: "Internal Server Error",
-                  503: "Service Unavailable"}.get(status, "Response")
-        head = [f"HTTP/1.1 {status} {reason}",
-                "Content-Type: application/json",
-                f"Content-Length: {len(body)}",
-                "Server: repro-serve-aio/1.0",
-                f"Connection: {'close' if close else 'keep-alive'}"]
-        for name, value in (headers or {}).items():
-            head.append(f"{name}: {value}")
-        try:
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
-            await writer.drain()
-        except (BrokenPipeError, ConnectionResetError):
-            self.metrics.record_disconnect(endpoint)
-            return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    async def _dispatch(self, method: str, endpoint: str, query: str,
-                        body: bytes) -> Tuple[dict, int, Dict[str, str]]:
+        parsed = urlparse(target)
+        endpoint = parsed.path
         loop = asyncio.get_running_loop()
         start = loop.time()
         error = False
@@ -218,7 +103,8 @@ class AsyncPredictionServer:
                 # server: a saturated server still answers them.
                 payload, status = self._handle_control(endpoint)
             elif endpoint == "/predict" and method == "GET":
-                payload, status = await self._handle_predict_query(query)
+                payload, status = await self._handle_predict_query(
+                    parsed.query)
             elif endpoint == "/predict" and method == "POST":
                 payload, status = await self._handle_predict_post(body)
             elif endpoint == "/rank" and method == "POST":
@@ -239,7 +125,7 @@ class AsyncPredictionServer:
         except Exception as exc:  # noqa: BLE001 — surface as a 500
             payload, status, error = {"error": str(exc)}, 500, True
         self.metrics.observe(endpoint, loop.time() - start, error=error)
-        return payload, status, extra
+        return status, json.dumps(payload).encode(), extra
 
     # ------------------------------------------------------------------
     # Handlers
@@ -363,67 +249,14 @@ def serve_forever_aio(engine, host: str = "127.0.0.1", port: int = 8099,
         pass
 
 
-class BackgroundAsyncServer:
-    """The asyncio service on its own thread + event loop.
-
-    Lets synchronous callers (tests, the ``batching`` drill, the
-    load-test harness) boot the server, read its bound address, poke it
-    over real sockets, and tear it down deterministically::
-
-        bg = BackgroundAsyncServer(engine, settings=BatchSettings(...))
-        host, port = bg.start()
-        ...
-        bg.shutdown()
-    """
+class BackgroundAsyncServer(BackgroundServer):
+    """:class:`AsyncPredictionServer` on its own thread + event loop."""
 
     def __init__(self, engine, host: str = "127.0.0.1", port: int = 0,
                  runtime: Optional[ServingRuntime] = None,
                  metrics: Optional[ServiceMetrics] = None,
                  limits: Optional[ServiceLimits] = None,
                  settings: Optional[BatchSettings] = None) -> None:
-        self.app = AsyncPredictionServer(engine, runtime=runtime,
-                                         metrics=metrics, limits=limits,
-                                         settings=settings)
-        self._host = host
-        self._port = port
-        self._ready = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._startup_error: Optional[BaseException] = None
-        self.address: Tuple[str, int] = ("", 0)
-
-    def start(self, timeout: float = 30.0) -> Tuple[str, int]:
-        self._thread = threading.Thread(target=self._thread_main,
-                                        daemon=True,
-                                        name="repro-aio-server")
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("async server did not start in time")
-        if self._startup_error is not None:
-            raise RuntimeError("async server failed to start") \
-                from self._startup_error
-        return self.address
-
-    def shutdown(self, timeout: float = 30.0) -> None:
-        if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
-
-    # ------------------------------------------------------------------
-    def _thread_main(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # noqa: BLE001 — reported to starter
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self.address = await self.app.start(self._host, self._port)
-        self._ready.set()
-        await self._stop_event.wait()
-        await self.app.stop()
+        super().__init__(AsyncPredictionServer(
+            engine, runtime=runtime, metrics=metrics, limits=limits,
+            settings=settings), host, port)

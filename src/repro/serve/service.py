@@ -47,6 +47,7 @@ from urllib.parse import parse_qs, urlparse
 
 from .degrade import ReloadRejected, ServingRuntime
 from .engine import InferenceEngine
+from .http import MAX_BODY_BYTES, READ_TIMEOUT
 from .metrics import ServiceMetrics
 
 #: Endpoints that bypass the in-flight limiter and deadline: operability
@@ -68,13 +69,13 @@ class ServiceLimits:
     """Operational guard-rails for the prediction service."""
 
     #: Reject request bodies whose Content-Length exceeds this (bytes).
-    max_body_bytes: int = 1 << 20
+    max_body_bytes: int = MAX_BODY_BYTES
     #: Maximum concurrently-executing work requests; excess is shed (503).
     max_inflight: int = 64
     #: Seconds the client should wait before retrying after a shed.
     retry_after_seconds: int = 1
     #: Socket read timeout (seconds); guards against stalled clients.
-    read_timeout: float = 5.0
+    read_timeout: float = READ_TIMEOUT
     #: Post-hoc per-request deadline (seconds); ``None`` disables.
     deadline_seconds: Optional[float] = None
 

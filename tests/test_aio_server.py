@@ -2,13 +2,13 @@
 
 Covers the endpoint surface (parity with the threaded server, pinned
 bitwise on the response bodies), the admission-queue backpressure
-semantics (503 + Retry-After, probes bypass admission), request-framing
-edge cases over raw sockets, and an 8-thread client stress run under
-the tsan-lite race detector.
+semantics (503 + Retry-After, probes bypass admission), and an 8-thread
+client stress run under the tsan-lite race detector.  Request framing
+over raw sockets (400/413/431, keep-alive, pipelining) is one table run
+against this server and the fleet router in ``test_http_framing.py``.
 """
 
 import json
-import socket
 import threading
 import time
 import urllib.error
@@ -162,66 +162,6 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(req, timeout=10)
         assert info.value.code == 400
-
-    def test_oversized_body_413(self, served):
-        # The server answers 413 from the Content-Length alone, before
-        # (and without) reading the payload, then closes — so it must
-        # be poked over a raw socket: urllib would die on EPIPE while
-        # still uploading.
-        req = (b"POST /predict HTTP/1.1\r\nHost: t\r\n"
-               b"Content-Type: application/json\r\n"
-               b"Content-Length: 2000000\r\n\r\n")
-        raw = _raw(served[2], req)
-        assert raw.startswith(b"HTTP/1.1 413")
-        assert b"exceeds" in raw
-
-
-# ---------------------------------------------------------------------------
-# Raw-socket framing edge cases
-# ---------------------------------------------------------------------------
-def _raw(base, payload, timeout=10.0):
-    host, port = base[len("http://"):].split(":")
-    with socket.create_connection((host, int(port)), timeout=timeout) as sk:
-        sk.sendall(payload)
-        sk.settimeout(timeout)
-        chunks = []
-        try:
-            while True:
-                chunk = sk.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-        except TimeoutError:
-            pass
-    return b"".join(chunks)
-
-
-def test_truncated_body_400(served):
-    body = b'{"paper_ids": [0]}'
-    req = (b"POST /predict HTTP/1.1\r\nHost: t\r\n"
-           b"Content-Length: " + str(len(body) + 50).encode()
-           + b"\r\n\r\n" + body)
-    # The server's readexactly waits out limits.read_timeout (5s
-    # default) before answering, so give the raw reader headroom.
-    raw = _raw(served[2], req, timeout=30.0)
-    assert raw.startswith(b"HTTP/1.1 400")
-    assert b"truncated" in raw
-
-
-def test_malformed_request_line_400(served):
-    raw = _raw(served[2], b"NONSENSE\r\n\r\n")
-    assert raw.startswith(b"HTTP/1.1 400")
-
-
-def test_keep_alive_two_requests_one_connection(served):
-    body = json.dumps({"paper_ids": [1]}).encode()
-    one = (b"POST /predict HTTP/1.1\r\nHost: t\r\n"
-           b"Content-Type: application/json\r\n"
-           b"Content-Length: " + str(len(body)).encode()
-           + b"\r\nConnection: keep-alive\r\n\r\n" + body)
-    two = one.replace(b"keep-alive", b"close")
-    raw = _raw(served[2], one + two)
-    assert raw.count(b"HTTP/1.1 200") == 2
 
 
 # ---------------------------------------------------------------------------

@@ -147,3 +147,27 @@ def test_cli_parser():
                                       "--cache-size", "16"])
     assert args.checkpoint == "model.npz"
     assert args.port == 9000 and args.cache_size == 16
+
+
+@pytest.mark.parametrize("flags", [["--max-inflight", "8"],
+                                   ["--deadline", "2.5"],
+                                   ["--max-inflight", "8", "--deadline", "1"]])
+def test_cli_rejects_threaded_only_limits_with_aio(flags, capsys):
+    from repro.serve.__main__ import parse_args
+
+    with pytest.raises(SystemExit) as info:
+        parse_args(["model.npz", "--aio", *flags])
+    assert info.value.code == 2
+    assert "threaded server only" in capsys.readouterr().err
+    # Without --aio the same flags configure the threaded server.
+    assert parse_args(["model.npz", *flags]).aio is False
+
+
+def test_cli_aio_accepts_its_own_flags():
+    from repro.serve.__main__ import parse_args
+
+    args = parse_args(["model.npz", "--aio", "--cache-size", "0",
+                       "--queue-depth", "8", "--max-body-bytes", "4096",
+                       "--read-timeout", "2"])
+    assert args.aio and args.cache_size == 0 and args.queue_depth == 8
+    assert args.max_inflight is None and args.deadline is None
