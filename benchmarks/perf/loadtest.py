@@ -1,22 +1,21 @@
 """Load-test harness for the asyncio serving runtime (DESIGN §16).
 
 ``python -m benchmarks.perf loadtest`` replays a ``/predict`` workload
-from ~1k concurrent keep-alive clients against **both** serving
-runtimes — the asyncio server with cross-request dynamic batching and
-the threaded server it sits alongside — and commits QPS, client-side
-p50/p99, and the measured batching behaviour (mean batch size, batch
-histogram, queue-wait vs compute split) into the ``"serving_async"``
-section of ``BENCH_perf.json``.
+from ~1k concurrent keep-alive clients against the asyncio server with
+cross-request dynamic batching, and commits QPS, client-side p50/p99,
+and the measured batching behaviour (mean batch size, batch histogram,
+queue-wait vs compute split) into the ``"serving_async"`` section of
+``BENCH_perf.json``.
 
 The harness is its own asyncio program: each simulated client owns one
 persistent connection and replays requests back-to-back, so the number
-of in-flight requests equals the client count.  Both servers see the
-*same* workload (same seed, same id lists, same client count); the
-engines run with ``cache_size=0`` so every request pays a real head
-application — with the LRU on, cache hits would make batching look
-free.  Client latencies are measured from first request byte to last
-response byte, which charges queueing, batching, and compute to the
-request exactly as a caller would experience it.
+of in-flight requests equals the client count.  The workload is seeded
+(same id lists, same client count on every run); the engine runs with
+``cache_size=0`` so every request pays a real head application — with
+the LRU on, cache hits would make batching look free.  Client latencies
+are measured from first request byte to last response byte, which
+charges queueing, batching, and compute to the request exactly as a
+caller would experience it.
 
 Batching metrics are reset between the warmup and measured phases (the
 harness is quiescent at that point — every warmup response has been
@@ -104,7 +103,7 @@ def _encode_request(paper_ids: List[int]) -> bytes:
 
 def _workload(concurrency: int, per_client: int,
               num_papers: int, seed: int) -> List[List[bytes]]:
-    """Deterministic per-client request scripts (same for both servers)."""
+    """Deterministic per-client request scripts: same seed, same scripts."""
     rng = np.random.default_rng(seed)
     scripts = []
     for _ in range(concurrency):
@@ -167,61 +166,35 @@ def _replay(host: str, port: int, scripts: List[List[bytes]],
 def bench_serving_async(concurrency: int = 1000, per_client: int = 5,
                         warmup_per_client: int = 2,
                         seed: int = 7) -> Dict[str, object]:
-    """QPS / latency / batching comparison: asyncio vs threaded serving.
+    """QPS / latency / batching of the asyncio server under many clients.
 
-    Boots both servers over the *same* frozen engine checkpoint (each
-    with its own ``cache_size=0`` engine instance so neither runtime
-    benefits from result caching or poisons the other's state) and
-    replays the identical multi-client workload against each.
+    Boots the server over a frozen ``cache_size=0`` engine and replays
+    the seeded multi-client workload against it.
     """
     import tempfile
     from pathlib import Path
 
-    from repro.serve import (
-        BackgroundAsyncServer,
-        BatchSettings,
-        InferenceEngine,
-        ServiceLimits,
-        make_server,
-    )
-    import threading
+    from repro.serve import BackgroundAsyncServer, BatchSettings, InferenceEngine
 
     dataset = bench_datasets()["full"]
     est = CATEHGN(bench_config(outer_iters=2)).fit(dataset)
     with tempfile.TemporaryDirectory() as tmp:
         path = est.save_checkpoint(Path(tmp) / "model")
-        async_engine = InferenceEngine.from_checkpoint(path, cache_size=0)
-        threaded_engine = InferenceEngine.from_checkpoint(path, cache_size=0)
+        engine = InferenceEngine.from_checkpoint(path, cache_size=0)
 
-    num_papers = int(async_engine.num_papers)
+    num_papers = int(engine.num_papers)
     scripts = _workload(concurrency, per_client, num_papers, seed)
     warmup = _workload(concurrency, warmup_per_client, num_papers, seed + 1)
 
-    # -- asyncio runtime with dynamic batching ---------------------------
-    settings = BatchSettings(**LOADTEST_BATCH)
-    bg = BackgroundAsyncServer(async_engine, settings=settings)
+    bg = BackgroundAsyncServer(engine,
+                               settings=BatchSettings(**LOADTEST_BATCH))
     host, port = bg.start()
     try:
-        async_result = _replay(
-            host, port, scripts, warmup,
-            between_phases=bg.app.batcher.metrics.reset)
+        result = _replay(host, port, scripts, warmup,
+                         between_phases=bg.app.batcher.metrics.reset)
         batching = bg.app.batcher.snapshot()
     finally:
         bg.shutdown()
-
-    # -- threaded runtime (same workload, shedding disabled) -------------
-    limits = ServiceLimits(max_inflight=2 * concurrency)
-    server = make_server(threaded_engine, port=0, verbose=False,
-                         limits=limits)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        threaded_result = _replay(
-            server.server_address[0], server.server_address[1],
-            scripts, warmup)
-    finally:
-        server.shutdown()
-        thread.join(timeout=30)
 
     for key in ("queue_depth", "queue_capacity", "settings"):
         batching.pop(key, None)
@@ -233,10 +206,7 @@ def bench_serving_async(concurrency: int = 1000, per_client: int = 5,
         "ids_per_request": IDS_PER_REQUEST,
         "num_papers": num_papers,
         "batch_settings": dict(LOADTEST_BATCH),
-        "async": {**async_result, "batching": batching},
-        "threaded": threaded_result,
-        "qps_speedup_vs_threaded": float(
-            async_result["qps"] / max(threaded_result["qps"], 1e-12)),
+        "async": {**result, "batching": batching},
     }
 
 

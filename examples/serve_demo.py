@@ -9,7 +9,6 @@ Run:  python examples/serve_demo.py
 
 import json
 import tempfile
-import threading
 import urllib.request
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from repro.core import CATEHGN, CATEHGNConfig
 from repro.data import WorldConfig, make_dblp_full
-from repro.serve import InferenceEngine, make_server
+from repro.serve import BackgroundAsyncServer, InferenceEngine
 
 
 def _get(base: str, path: str) -> dict:
@@ -74,10 +73,9 @@ def main() -> None:
 
     # 6. Serve it over HTTP (ephemeral port here; in production:
     #    `repro-serve model.npz --port 8099`).
-    server = make_server(engine, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
+    server = BackgroundAsyncServer(engine)
+    host, port = server.start()
+    base = f"http://{host}:{port}"
     print(f"\nserving on {base}")
 
     print("GET  /healthz ->", _get(base, "/healthz"))
@@ -92,8 +90,6 @@ def main() -> None:
           f"cache hit rate {metrics['cache']['hit_rate']:.2f}")
 
     server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
 
 
 if __name__ == "__main__":

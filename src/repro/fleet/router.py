@@ -39,7 +39,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..serve.http import (MAX_BODY_BYTES, READ_TIMEOUT, BackgroundServer,
                           FramingError, Response, encode_request,
-                          read_response, serve_connection)
+                          parse_json_object, read_response,
+                          serve_connection)
 from .heartbeat import http_json
 from .ring import HashRing
 
@@ -199,9 +200,9 @@ class FleetRouter:
             if self._reload_handler is None:
                 return {"error": "fleet has no reload handler"}, 404
             try:
-                payload = json.loads(body or b"{}")
-            except json.JSONDecodeError:
-                return {"error": "invalid JSON body"}, 400
+                payload = parse_json_object(body)
+            except ValueError as exc:
+                return {"error": str(exc)}, 400
             ckpt = payload.get("path")
             if not isinstance(ckpt, str) or not ckpt:
                 return {"error": "body must contain a checkpoint path"}, 400

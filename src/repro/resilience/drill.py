@@ -383,13 +383,12 @@ def drill_quarantine(log: Callable[[str], None]) -> None:
 def drill_degrade(log: Callable[[str], None]) -> None:
     """Engine faults under live HTTP: breaker trips, prior answers, no 5xx."""
     import json
-    import threading
     import urllib.error
     import urllib.request
 
     from ..core.trainer import GraphBatch  # noqa: F401 — warm import
-    from ..serve import (CircuitBreaker, InferenceEngine, ServingRuntime,
-                         make_server, save_catehgn)
+    from ..serve import (BackgroundAsyncServer, CircuitBreaker,
+                         InferenceEngine, ServingRuntime, save_catehgn)
 
     dataset = _tiny_dataset()
     est = _tiny_estimator()
@@ -402,10 +401,8 @@ def drill_degrade(log: Callable[[str], None]) -> None:
                "checkpoint did not bake a prior head")
         runtime = ServingRuntime(engine, breaker=CircuitBreaker(
             failure_threshold=2, recovery_seconds=60.0))
-        server = make_server(engine, port=0, runtime=runtime)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
+        bg = BackgroundAsyncServer(engine, runtime=runtime)
+        host, port = bg.start()
         base = f"http://{host}:{port}"
 
         def call(method: str, endpoint: str, body: Optional[dict] = None):
@@ -486,8 +483,7 @@ def drill_degrade(log: Callable[[str], None]) -> None:
             log("valid reload passed shadow validation; breaker reset, "
                 "source=model again")
         finally:
-            server.shutdown()
-            server.server_close()
+            bg.shutdown()
 
 
 def drill_race(log: Callable[[str], None]) -> None:

@@ -3,7 +3,8 @@
 The deployment story of the reproduction (DESIGN §11): train an estimator,
 :func:`save_catehgn` it to a versioned ``.npz`` checkpoint, freeze it into
 an :class:`InferenceEngine` (one tape-free forward per graph snapshot),
-and expose predictions over stdlib HTTP via ``python -m repro.serve``.
+and expose predictions over the stdlib asyncio server via
+``python -m repro.serve``.
 
 The public names below are imported on first use, so importing a light
 submodule (the fleet router imports only :mod:`repro.serve.http`) does not
@@ -21,6 +22,8 @@ _EXPORTS = {
     "BatchSettings": "aio",
     "BatchingMetrics": "aio",
     "DynamicBatcher": "aio",
+    "ServiceError": "aio",
+    "ServiceLimits": "aio",
     "serve_forever_aio": "aio",
     "CircuitBreaker": "breaker",
     "LRUCache": "cache",
@@ -38,12 +41,6 @@ _EXPORTS = {
     "InferenceEngine": "engine",
     "ServiceMetrics": "metrics",
     "PriorHead": "prior",
-    "InflightLimiter": "service",
-    "ResilientHTTPServer": "service",
-    "ServiceError": "service",
-    "ServiceLimits": "service",
-    "make_server": "service",
-    "serve_forever": "service",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -2,15 +2,16 @@
 
 See DESIGN §16.  Public surface:
 
-* :class:`AsyncPredictionServer` — the asyncio HTTP app (same endpoint
-  and JSON surface as the threaded server);
+* :class:`AsyncPredictionServer` — the HTTP app behind ``repro-serve``;
+* :class:`ServiceLimits` / :class:`ServiceError` — its body cap, read
+  deadline and ``Retry-After``, and its HTTP-visible request error;
 * :class:`BackgroundAsyncServer` — the app on its own thread + loop,
   for tests / drills / benchmarks;
 * :func:`serve_forever_aio` — blocking CLI entry point;
 * :class:`DynamicBatcher` / :class:`BatchSettings` — the coalescing
   core and its watermarks;
 * :class:`AdmissionQueue` / :class:`AdmissionFull` — bounded admission
-  (the asyncio analogue of ``InflightLimiter``);
+  (503 + ``Retry-After`` past the bound);
 * :class:`BatchingMetrics` — per-flush observability.
 """
 
@@ -20,6 +21,8 @@ from .metrics import BatchingMetrics
 from .server import (
     AsyncPredictionServer,
     BackgroundAsyncServer,
+    ServiceError,
+    ServiceLimits,
     serve_forever_aio,
 )
 
@@ -31,5 +34,7 @@ __all__ = [
     "BatchSettings",
     "BatchingMetrics",
     "DynamicBatcher",
+    "ServiceError",
+    "ServiceLimits",
     "serve_forever_aio",
 ]

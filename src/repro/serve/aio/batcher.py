@@ -1,9 +1,8 @@
 """Adaptive cross-request dynamic batcher (DESIGN §16).
 
-The threaded service micro-batches only *within* one request: two
-concurrent ``/predict`` calls each pay their own head application.  The
-batcher closes that gap for the asyncio runtime — concurrent requests
-are coalesced into **one** tape-free :class:`InferenceEngine` forward
+The engine micro-batches only *within* one request: two concurrent
+``/predict`` calls would each pay their own head application.  The
+batcher closes that gap — concurrent requests are coalesced into **one** tape-free :class:`InferenceEngine` forward
 and the per-request futures are resolved from slices of the batched
 result.
 

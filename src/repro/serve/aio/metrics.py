@@ -1,7 +1,6 @@
 """Batching-aware observability for the asyncio runtime (DESIGN §16).
 
-The threaded server's :class:`~repro.serve.metrics.ServiceMetrics`
-answers "how long did requests take"; under cross-request batching the
+:class:`~repro.serve.metrics.ServiceMetrics` answers "how long did requests take"; under cross-request batching the
 operationally interesting split is *why*: time spent **waiting in the
 admission queue** (tunable via the watermarks) vs. time spent in the
 **batched compute** itself.  :class:`BatchingMetrics` records, per

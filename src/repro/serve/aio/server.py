@@ -1,24 +1,23 @@
-"""Asyncio HTTP server with cross-request dynamic batching (DESIGN §16).
+"""The prediction server behind ``repro-serve`` (DESIGN §11.4, §16).
 
-The asyncio twin of :mod:`repro.serve.service`: the same endpoint
-surface (``/predict`` GET+POST, ``/rank``, ``/healthz``, ``/metrics``,
-``/admin/reload``), the same JSON wire format, the same overload
-semantics (503 + ``Retry-After`` on saturation, 413 body caps, 400 for
-truncated bodies, probes always answered) — but one thread, one event
-loop, and every concurrent ``/predict``/``/rank`` funneled through the
-:class:`~repro.serve.aio.batcher.DynamicBatcher` so overlapping
-requests share a single tape-free engine forward.
+Endpoints: ``GET /healthz``, ``GET /metrics``, ``POST /predict``
+(``{"paper_ids": [..]}`` or ``{"title": ".."}``), ``GET
+/predict?ids=1,2``, ``POST /rank`` and ``POST /admin/reload``.  A full
+admission queue sheds with 503 + ``Retry-After``; the two ``GET``
+probes bypass admission, so a saturated server still answers them.
+One thread, one event loop, and every concurrent ``/predict``/``/rank``
+funneled through the :class:`~repro.serve.aio.batcher.DynamicBatcher`
+so overlapping requests share a single tape-free engine forward.
 
 stdlib-only: ``asyncio.start_server`` plus the shared HTTP/1.1 codec
 :mod:`repro.serve.http` (keep-alive, head and body caps, one deadline
 per head); this module only supplies the request handler.
-The degraded-mode story is unchanged — predictions flow through the
-PR-5 :class:`~repro.serve.degrade.ServingRuntime`, so breaker trips
-fall back model → cache → prior and still answer 200.
+Predictions flow through :class:`~repro.serve.degrade.ServingRuntime`,
+so breaker trips fall back model → cache → prior and still answer 200.
 
 Entry points: :func:`serve_forever_aio` (blocking, used by
-``repro-serve --aio``) and :class:`BackgroundAsyncServer` (own thread +
-event loop, used by tests, the ``batching`` drill, and the
+``repro-serve``) and :class:`BackgroundAsyncServer` (own thread + event
+loop, used by tests, drills, the serving example and the
 ``benchmarks/perf loadtest`` harness).
 """
 
@@ -26,15 +25,42 @@ from __future__ import annotations
 
 import asyncio
 import json
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from ..degrade import ReloadRejected, ServingRuntime
-from ..http import BackgroundServer, serve_connection
+from ..http import (MAX_BODY_BYTES, READ_TIMEOUT, BackgroundServer,
+                    parse_json_object, serve_connection)
 from ..metrics import ServiceMetrics
-from ..service import CONTROL_ENDPOINTS, ServiceError, ServiceLimits
 from .admission import AdmissionFull
 from .batcher import BatchSettings, DynamicBatcher
+
+#: ``GET`` endpoints that bypass admission: operability probes must keep
+#: answering while the server is saturated.
+CONTROL_ENDPOINTS = frozenset({"/healthz", "/metrics"})
+
+
+class ServiceError(Exception):
+    """An HTTP-visible request error."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.message = message
+
+
+@dataclass
+class ServiceLimits:
+    """Operational guard-rails for the prediction server."""
+
+    #: Reject request bodies whose Content-Length exceeds this (bytes).
+    max_body_bytes: int = MAX_BODY_BYTES
+    #: Seconds the client should wait before retrying after a shed.
+    retry_after_seconds: int = 1
+    #: Read deadline (seconds) per head and body; guards against
+    #: stalled clients.
+    read_timeout: float = READ_TIMEOUT
 
 
 class AsyncPredictionServer:
@@ -72,7 +98,9 @@ class AsyncPredictionServer:
                 timeout=self.limits.read_timeout,
                 max_body=self.limits.max_body_bytes,
                 on_disconnect=lambda: self.metrics.record_disconnect(
-                    "<connection>")),
+                    "<connection>"),
+                on_framing_error=lambda exc: self.metrics.record_rejected(
+                    urlparse(exc.target).path or "<connection>")),
             host, port, backlog=backlog)
         bound = self._server.sockets[0].getsockname()
         return bound[0], bound[1]
@@ -98,9 +126,9 @@ class AsyncPredictionServer:
         error = False
         extra: Dict[str, str] = {}
         try:
-            if endpoint in CONTROL_ENDPOINTS:
-                # Probes bypass admission entirely, as in the threaded
-                # server: a saturated server still answers them.
+            if endpoint in CONTROL_ENDPOINTS and method == "GET":
+                # Probes bypass admission entirely: a saturated server
+                # still answers them.
                 payload, status = self._handle_control(endpoint)
             elif endpoint == "/predict" and method == "GET":
                 payload, status = await self._handle_predict_query(
@@ -162,7 +190,7 @@ class AsyncPredictionServer:
         return await self.batcher.submit_predict(ids), 200
 
     async def _handle_predict_post(self, body: bytes) -> Tuple[dict, int]:
-        payload = _parse_json(body)
+        payload = parse_json_object(body)
         if "title" in payload:
             if not isinstance(payload["title"], str) or not payload["title"]:
                 raise ServiceError(400, "title must be a non-empty string")
@@ -184,7 +212,7 @@ class AsyncPredictionServer:
         raise ServiceError(400, "body must contain paper_ids or title")
 
     async def _handle_rank(self, body: bytes) -> Tuple[dict, int]:
-        payload = _parse_json(body)
+        payload = parse_json_object(body)
         node_type = payload.get("node_type", "paper")
         k = payload.get("k", 10)
         cluster = payload.get("cluster")
@@ -192,7 +220,7 @@ class AsyncPredictionServer:
         return {"node_type": node_type, "ranking": ranking}, 200
 
     async def _handle_reload(self, body: bytes) -> Tuple[dict, int]:
-        payload = _parse_json(body)
+        payload = parse_json_object(body)
         path = payload.get("path")
         if not isinstance(path, str) or not path:
             raise ServiceError(400, "body must contain a checkpoint path")
@@ -212,13 +240,6 @@ class AsyncPredictionServer:
         return result, 200
 
 
-def _parse_json(body: bytes) -> dict:
-    try:
-        return json.loads(body or b"{}")
-    except json.JSONDecodeError as exc:
-        raise ServiceError(400, f"invalid JSON body: {exc}") from exc
-
-
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
@@ -226,7 +247,7 @@ def serve_forever_aio(engine, host: str = "127.0.0.1", port: int = 8099,
                       verbose: bool = True,
                       limits: Optional[ServiceLimits] = None,
                       settings: Optional[BatchSettings] = None) -> None:
-    """Blocking entry point used by ``repro-serve --aio``."""
+    """Blocking entry point used by ``repro-serve``."""
 
     async def _main() -> None:
         app = AsyncPredictionServer(engine, limits=limits,

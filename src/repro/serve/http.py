@@ -12,6 +12,8 @@ no other module under ``src/`` reads a request or response head.
   ``Transfer-Encoding`` header, and a body cut short by EOF or the
   deadline are 400.  A body over the cap is 413 and is never read.
   Every framing error closes the connection after its answer.
+- A JSON request body must be one object (:func:`parse_json_object`);
+  anything else is 400.
 - Connections are kept alive until ``Connection: close`` or an idle
   deadline, which closes them without a response.  Responses always
   carry ``Content-Length`` and ``Connection``; reason phrases come from
@@ -41,12 +43,17 @@ _REASONS = {s.value: s.phrase for s in HTTPStatus}
 
 
 class FramingError(ValueError):
-    """A message that cannot be framed; ``status`` is the answer to send."""
+    """A message that cannot be framed; ``status`` is the answer to send.
 
-    def __init__(self, status: int, message: str) -> None:
+    ``target`` is the request target when the request line was read
+    (a body over the cap or cut short), else ``""``.
+    """
+
+    def __init__(self, status: int, message: str, target: str = "") -> None:
         super().__init__(message)
         self.status = status
         self.message = message
+        self.target = target
 
 
 class Request(NamedTuple):
@@ -114,14 +121,14 @@ async def read_request(reader: asyncio.StreamReader, *, timeout: float,
         raise FramingError(400, f"malformed request line {start[:80]!r}")
     if length > max_body:
         raise FramingError(413, f"request body of {length} bytes exceeds "
-                                f"the {max_body}-byte limit")
+                                f"the {max_body}-byte limit", parts[1])
     try:
         body = (await asyncio.wait_for(reader.readexactly(length), timeout)
                 if length else b"")
     except (asyncio.TimeoutError, asyncio.IncompleteReadError):
         raise FramingError(400, f"request body truncated: Content-Length "
-                                f"{length} not received within {timeout}s") \
-            from None
+                                f"{length} not received within {timeout}s",
+                           parts[1]) from None
     return Request(parts[0], parts[1], headers, body)
 
 
@@ -145,6 +152,22 @@ async def read_response(reader: asyncio.StreamReader) -> Response:
         raise FramingError(502, f"malformed status line {start[:80]!r}")
     body = await reader.readexactly(length) if length else b""
     return Response(int(parts[1]), headers, body)
+
+
+def parse_json_object(body: bytes) -> dict:
+    """A request body as a JSON object; an empty body is ``{}``.
+
+    Raises :class:`ValueError`, which both servers answer with 400, for
+    a body that is not JSON or is JSON but not an object.
+    """
+    try:
+        value = json.loads(body or b"{}")
+    except ValueError as exc:  # JSONDecodeError or undecodable bytes
+        raise ValueError(f"invalid JSON body: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"JSON body must be an object, "
+                         f"not {type(value).__name__}")
+    return value
 
 
 def _encode(start: str, headers: Dict[str, str], body: bytes) -> bytes:
@@ -184,7 +207,9 @@ Handler = Callable[[str, str, Dict[str, str], bytes],
 async def serve_connection(reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter, handler: Handler,
                            *, timeout: float, max_body: int,
-                           on_disconnect: Optional[Callable[[], None]] = None
+                           on_disconnect: Optional[Callable[[], None]] = None,
+                           on_framing_error: Optional[
+                               Callable[[FramingError], None]] = None
                            ) -> None:
     """Answer requests on one keep-alive connection until it ends.
 
@@ -192,7 +217,8 @@ async def serve_connection(reader: asyncio.StreamReader,
     body, headers)``.  ``timeout`` bounds each head read, body read,
     blocked write and the close; ``on_disconnect`` runs when the client
     goes away: it resets the connection, or stops reading while a
-    response waits in the send buffer.
+    response waits in the send buffer; ``on_framing_error`` runs for a
+    request answered by the codec itself (400/413/431) before it is sent.
     """
     try:
         while True:
@@ -200,6 +226,8 @@ async def serve_connection(reader: asyncio.StreamReader,
                 request = await read_request(reader, timeout=timeout,
                                              max_body=max_body)
             except FramingError as exc:
+                if on_framing_error is not None:
+                    on_framing_error(exc)
                 error = json.dumps({"error": exc.message}).encode()
                 await _send(writer, encode_response(exc.status, error,
                                                     close=True), timeout)

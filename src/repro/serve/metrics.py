@@ -6,8 +6,8 @@ Latencies are kept in a bounded **reservoir sample**
 no per-request allocation, a hard memory bound however long the server
 lives, and — unlike the sliding window it replaced — quantiles that
 stay representative of the *whole* request history instead of only the
-most recent burst.  Thread-safe: the service handler runs under
-``ThreadingHTTPServer`` (the asyncio runtime shares the class).
+most recent burst.  Thread-safe: every method holds one lock, so a
+snapshot taken from another thread is consistent.
 """
 
 from __future__ import annotations
@@ -63,10 +63,8 @@ class ServiceMetrics:
 
     Beyond request/error counts and latency quantiles, the resilience
     counters record the server's failure-handling behaviour: ``shed``
-    (503s from the in-flight limiter / admission queue), ``disconnects``
-    (clients that hung up mid-request/response), and
-    ``deadline_timeouts`` (requests that finished past their deadline
-    and were answered 504).
+    (503s from the admission queue) and ``disconnects`` (clients that
+    hung up mid-request/response).
     """
 
     def __init__(self, window: int = 2048) -> None:
@@ -77,7 +75,6 @@ class ServiceMetrics:
         self._latency: Dict[str, LatencyReservoir] = {}  # guarded-by: _lock
         self._shed: Dict[str, int] = {}  # guarded-by: _lock
         self._disconnects: Dict[str, int] = {}  # guarded-by: _lock
-        self._deadline: Dict[str, int] = {}  # guarded-by: _lock
 
     def observe(self, endpoint: str, seconds: float,
                 error: bool = False) -> None:
@@ -94,8 +91,15 @@ class ServiceMetrics:
                 self._latency[endpoint] = reservoir
             reservoir.add(float(seconds))
 
+    def record_rejected(self, endpoint: str) -> None:
+        """Count a request the codec answered before routing (a framing
+        error: 400/413/431): one request and one error, no latency sample."""
+        with self._lock:
+            self._requests[endpoint] = self._requests.get(endpoint, 0) + 1
+            self._errors[endpoint] = self._errors.get(endpoint, 0) + 1
+
     def record_shed(self, endpoint: str) -> None:
-        """Count a request shed by the in-flight limiter (503)."""
+        """Count a request shed by the admission queue (503)."""
         with self._lock:
             self._shed[endpoint] = self._shed.get(endpoint, 0) + 1
 
@@ -106,17 +110,12 @@ class ServiceMetrics:
                 self._disconnects.get(endpoint, 0) + 1
             )
 
-    def record_deadline(self, endpoint: str) -> None:
-        """Count a request answered 504 after missing its deadline."""
-        with self._lock:
-            self._deadline[endpoint] = self._deadline.get(endpoint, 0) + 1
-
     def snapshot(self) -> dict:
         """JSON-ready metrics: counts + latency p50/p99 in milliseconds."""
         with self._lock:
             endpoints = {}
             names = (set(self._requests) | set(self._shed)
-                     | set(self._disconnects) | set(self._deadline))
+                     | set(self._disconnects))
             for name in sorted(names):
                 reservoir = self._latency.get(name)
                 lat = sorted(reservoir.values) if reservoir else []
@@ -125,7 +124,6 @@ class ServiceMetrics:
                     "errors": self._errors.get(name, 0),
                     "shed": self._shed.get(name, 0),
                     "disconnects": self._disconnects.get(name, 0),
-                    "deadline_timeouts": self._deadline.get(name, 0),
                     "latency_ms_p50": _quantile(lat, 0.50) * 1e3,
                     "latency_ms_p99": _quantile(lat, 0.99) * 1e3,
                 }
@@ -134,6 +132,5 @@ class ServiceMetrics:
                 "total_errors": sum(self._errors.values()),
                 "total_shed": sum(self._shed.values()),
                 "total_disconnects": sum(self._disconnects.values()),
-                "total_deadline_timeouts": sum(self._deadline.values()),
                 "endpoints": endpoints,
             }

@@ -1,11 +1,14 @@
-"""HTTP tests for the asyncio serving runtime (DESIGN §16).
+"""HTTP tests for the asyncio prediction server (DESIGN §16).
 
-Covers the endpoint surface (parity with the threaded server, pinned
-bitwise on the response bodies), the admission-queue backpressure
-semantics (503 + Retry-After, probes bypass admission), and an 8-thread
-client stress run under the tsan-lite race detector.  Request framing
-over raw sockets (400/413/431, keep-alive, pipelining) is one table run
-against this server and the fleet router in ``test_http_framing.py``.
+Covers the endpoint surface (responses pinned bitwise against the
+unbatched in-process ``ServingRuntime`` and engine), request errors, the
+admission-queue backpressure semantics (503 + Retry-After, probes bypass
+admission), and an 8-thread client stress run under the tsan-lite race
+detector.  The endpoint and error suites as ``repro-serve`` boots the
+server (engine cache on, metrics counts) are in ``test_serve_http.py``.  Request framing over raw
+sockets (400/413/431, keep-alive, pipelining, non-object JSON bodies)
+is one table run against this server and the fleet router in
+``test_http_framing.py``.
 """
 
 import json
@@ -14,6 +17,7 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.core import CATEHGN
@@ -24,31 +28,20 @@ from repro.serve import (
     InferenceEngine,
     ServiceLimits,
     ServingRuntime,
-    make_server,
 )
 
 
 @pytest.fixture(scope="module")
 def served(tiny_dataset, tmp_path_factory):
-    """(estimator, engine, aio base URL, threaded base URL)."""
+    """(estimator, engine, base URL)."""
     config = default_cate_config(dim=16, seed=0, outer_iters=1, mini_iters=1)
     est = CATEHGN(config).fit(tiny_dataset)
     path = est.save_checkpoint(tmp_path_factory.mktemp("ckpt") / "model")
-
-    aio_engine = InferenceEngine.from_checkpoint(path, cache_size=0)
-    bg = BackgroundAsyncServer(aio_engine,
-                               settings=BatchSettings(max_wait_ms=1.0))
+    engine = InferenceEngine.from_checkpoint(path, cache_size=0)
+    bg = BackgroundAsyncServer(engine, settings=BatchSettings(max_wait_ms=1.0))
     host, port = bg.start()
-
-    threaded_engine = InferenceEngine.from_checkpoint(path, cache_size=0)
-    server = make_server(threaded_engine, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-
-    yield (est, aio_engine, f"http://{host}:{port}",
-           f"http://127.0.0.1:{server.server_address[1]}")
+    yield est, engine, f"http://{host}:{port}"
     bg.shutdown()
-    server.shutdown()
 
 
 def _get(base, path):
@@ -70,12 +63,24 @@ def _err(fn, *args):
     return info.value
 
 
+def _metrics(base):
+    return json.loads(_get(base, "/metrics")[1])
+
+
+def _expected_predict(engine, ids):
+    """The unbatched in-process answer the server must reproduce."""
+    out = ServingRuntime(engine).predict(ids)
+    return {"paper_ids": ids,
+            "predictions": [float(p) for p in out["predictions"]],
+            "source": out["source"], "degraded": out["degraded"]}
+
+
 # ---------------------------------------------------------------------------
-# Endpoint surface + bitwise parity with the threaded server
+# Endpoint surface, bitwise against the unbatched runtime and engine
 # ---------------------------------------------------------------------------
 class TestEndpoints:
     def test_healthz(self, served):
-        _est, engine, base, _threaded = served
+        _est, engine, base = served
         status, body = _get(base, "/healthz")
         health = json.loads(body)
         assert status == 200
@@ -84,23 +89,20 @@ class TestEndpoints:
         assert health["num_papers"] == engine.num_papers
         assert health["queue_depth"] == 0
 
-    def test_predict_post_bitwise_matches_threaded(self, served):
-        _est, engine, base, threaded = served
+    def test_predict_post_bitwise_matches_runtime(self, served):
+        _est, engine, base = served
         ids = [0, 3, 7, engine.num_papers - 1]
-        _, aio_body = _post(base, "/predict", {"paper_ids": ids})
-        _, thr_body = _post(threaded, "/predict", {"paper_ids": ids})
-        # Byte-identical JSON: same values, same key order, no float
-        # drift between the batched and the unbatched path.
-        assert aio_body == thr_body
+        _, body = _post(base, "/predict", {"paper_ids": ids})
+        # Exact floats: no drift between the batched and unbatched path.
+        assert json.loads(body) == _expected_predict(engine, ids)
 
-    def test_predict_get_bitwise_matches_threaded(self, served):
-        _est, _engine, base, threaded = served
-        _, aio_body = _get(base, "/predict?ids=1,2,5")
-        _, thr_body = _get(threaded, "/predict?ids=1,2,5")
-        assert aio_body == thr_body
+    def test_predict_get_bitwise_matches_runtime(self, served):
+        _est, engine, base = served
+        _, body = _get(base, "/predict?ids=1,2,5")
+        assert json.loads(body) == _expected_predict(engine, [1, 2, 5])
 
     def test_predict_matches_estimator(self, served):
-        est, _engine, base, _threaded = served
+        est, _engine, base = served
         _, body = _post(base, "/predict", {"paper_ids": [4, 9]})
         out = json.loads(body)
         expected = est.predict()[[4, 9]]
@@ -108,15 +110,17 @@ class TestEndpoints:
         assert out["source"] == "model"
         assert out["degraded"] is False
 
-    def test_rank_bitwise_matches_threaded(self, served):
-        _est, _engine, base, threaded = served
-        payload = {"node_type": "paper", "k": 5}
-        _, aio_body = _post(base, "/rank", payload)
-        _, thr_body = _post(threaded, "/rank", payload)
-        assert aio_body == thr_body
+    def test_rank_bitwise_matches_engine(self, served):
+        est, engine, base = served
+        _, body = _post(base, "/rank", {"node_type": "author", "k": 3})
+        out = json.loads(body)
+        assert out["node_type"] == "author"
+        assert out["ranking"] == engine.rank("author", k=3)
+        best = int(np.argmax(est.node_impacts("author")))
+        assert out["ranking"][0]["id"] == best
 
     def test_title_cold_start(self, served):
-        _est, engine, base, _threaded = served
+        _est, engine, base = served
         _, body = _post(base, "/predict", {"title": "graph neural nets"})
         out = json.loads(body)
         assert out["cold_start"] is True
@@ -124,9 +128,8 @@ class TestEndpoints:
             engine.score_title("graph neural nets"))
 
     def test_metrics_exposes_batching(self, served):
-        _est, _engine, base, _threaded = served
-        _, body = _get(base, "/metrics")
-        metrics = json.loads(body)
+        base = served[2]
+        metrics = _metrics(base)
         batching = metrics["batching"]
         for key in ("batches", "batched_requests", "mean_batch_size",
                     "coalesce_ratio", "batch_size_histogram",
@@ -142,8 +145,18 @@ class TestErrors:
     def test_unknown_endpoint_404(self, served):
         assert _err(_get, served[2], "/nope").code == 404
 
+    @pytest.mark.parametrize("method,path", [("POST", "/healthz"),
+                                             ("DELETE", "/metrics"),
+                                             ("PUT", "/healthz")])
+    def test_probes_answer_get_only(self, served, method, path):
+        req = urllib.request.Request(served[2] + path, data=b"",
+                                     method=method)
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(req, timeout=10)
+        assert info.value.code == 404
+
     def test_out_of_range_id_400(self, served):
-        _est, engine, base, _threaded = served
+        _est, engine, base = served
         exc = _err(_post, base, "/predict",
                    {"paper_ids": [engine.num_papers + 5]})
         assert exc.code == 400
@@ -232,12 +245,21 @@ def test_probes_bypass_admission_while_saturated(saturated):
         for _ in range(6)]
     for t in blockers:
         t.start()
-    time.sleep(0.05)  # let them hit the queue
     try:
-        status, body = _get(base, "/healthz")
-        assert status == 200
-        health = json.loads(body)
-        assert health["status"] == "degraded"  # saturated queue reported
+        # Probe until the blockers have filled the queue; every probe
+        # is answered, and the saturated queue is reported.
+        deadline = time.monotonic() + 10
+        statuses = []
+        while True:
+            status, body = _get(base, "/healthz")
+            statuses.append(status)
+            health = json.loads(body)
+            if health["status"] == "degraded" or time.monotonic() > deadline:
+                break
+            time.sleep(0.005)
+        assert set(statuses) == {200}
+        assert health["status"] == "degraded"
+        assert health["queue_depth"] == health["queue_capacity"] == 2
         status, _ = _get(base, "/metrics")
         assert status == 200
     finally:
@@ -257,7 +279,7 @@ def _post_quietly(base, body):
 # ---------------------------------------------------------------------------
 def test_concurrent_clients_stress(served, run_threads):
     """8 client threads, race-detector window, exact answers."""
-    est, engine, base, _threaded = served
+    est, engine, base = served
     expected = est.predict()
     per_thread = 12
     # The module-scoped server already served this file's deliberate

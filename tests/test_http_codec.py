@@ -254,9 +254,8 @@ def test_peer_that_stops_reading_ends_the_connection_quietly():
 # ---------------------------------------------------------------------------
 # One parser: nothing else under src/ reads an HTTP head
 # ---------------------------------------------------------------------------
-#: The codec itself, and the threaded server, whose heads are parsed by
-#: stdlib ``http.server`` (it only reads the parsed ``Content-Length``).
-ALLOWED = {"repro/serve/http.py", "repro/serve/service.py"}
+#: The codec itself.
+ALLOWED = {"repro/serve/http.py"}
 
 
 def head_parsing_sites(root):

@@ -4,8 +4,10 @@ The prediction server and the fleet router frame HTTP/1.1 through the
 same codec (``repro.serve.http``) under the same caps, so every row must
 hold for both: errors are answered once and the connection is closed,
 keep-alive and pipelining answer every request in order, and an idle
-keep-alive connection is closed without a response.  The router fronts
-one in-process replica, so its 200 rows are real forwarded predictions.
+keep-alive connection is closed without a response.  A body that is not
+a JSON object is 400 on every JSON endpoint, the router's own
+``/admin/reload`` included.  The router fronts one in-process replica,
+so its 200 rows are real forwarded predictions.
 """
 
 import json
@@ -47,7 +49,9 @@ def fronts(tiny_dataset, tmp_path_factory):
         limits=limits, settings=settings)
     patch = pytest.MonkeyPatch()
     patch.setattr("repro.fleet.router.READ_TIMEOUT", READ_TIMEOUT)
-    router = FleetRouter()
+    # The reload handler is never reached: the reload rows send bodies
+    # the router must refuse first.
+    router = FleetRouter(reload_handler=lambda path: {"reloaded": False})
     router.set_member("replica-0", *replica.start())
     bg_router = BackgroundRouter(router)
     yield {"aio": front.start(), "router": bg_router.start(),
@@ -64,6 +68,12 @@ def _predict(connection=b"keep-alive"):
             b"Content-Type: application/json\r\n"
             b"Content-Length: " + str(len(body)).encode() + b"\r\n"
             b"Connection: " + connection + b"\r\n\r\n" + body)
+
+
+def _post_json(path, body):
+    return (b"POST " + path + b" HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n"
+            b"Connection: close\r\n\r\n" + body)
 
 
 def _post_head(content_length):
@@ -138,6 +148,15 @@ def test_framing_error_answered_once_then_closed(fronts, front, row):
     _status, headers, body = responses[0]
     assert headers["connection"] == "close"
     assert text in body
+
+
+@pytest.mark.parametrize("body", [b"[1]", b'"abc"'])
+@pytest.mark.parametrize("path", [b"/predict", b"/rank", b"/admin/reload"])
+@pytest.mark.parametrize("front", ["aio", "router"])
+def test_non_object_json_body_400(fronts, front, path, body):
+    responses, _ = _converse(fronts[front], [_post_json(path, body)])
+    assert [r[0] for r in responses] == [400]
+    assert b"JSON body must be an object" in responses[0][2]
 
 
 @pytest.mark.parametrize("front", ["aio", "router"])

@@ -57,22 +57,20 @@ def test_committed_bench_serving_async_section():
 
     Pins the tentpole claims without re-running the (slow) 1k-client
     loadtest: the asyncio runtime coalesced concurrent requests into
-    real multi-request batches (mean batch size > 1), out-threw the
-    threaded server on QPS, answered everything (histogram accounts for
-    every request, zero client errors), and the latency fields are
-    sane percentiles.
+    real multi-request batches (mean batch size > 1), answered
+    everything (histogram accounts for every request, zero client
+    errors), and the latency fields are sane percentiles.
     """
     report = json.loads(BENCH_PERF.read_text())
     sa = report["serving_async"]
     assert sa["concurrency"] >= 64
     assert sa["total_requests"] == (sa["concurrency"]
                                     * sa["requests_per_client"])
-    for side in ("async", "threaded"):
-        res = sa[side]
-        assert res["requests"] == sa["total_requests"], side
-        assert res["errors"] == 0, side
-        assert res["qps"] > 0, side
-        assert 0 < res["p50_ms"] <= res["p99_ms"], side
+    res = sa["async"]
+    assert res["requests"] == sa["total_requests"]
+    assert res["errors"] == 0
+    assert res["qps"] > 0
+    assert 0 < res["p50_ms"] <= res["p99_ms"]
 
     batching = sa["async"]["batching"]
     assert batching["mean_batch_size"] > 1.0
@@ -85,10 +83,6 @@ def test_committed_bench_serving_async_section():
     assert weighted == sa["async"]["requests"]
     assert batching["batches"] == sum(
         batching["batch_size_histogram"].values())
-    # The headline: batching beats thread-per-request on throughput.
-    assert sa["async"]["qps"] > sa["threaded"]["qps"]
-    assert sa["qps_speedup_vs_threaded"] == pytest.approx(
-        sa["async"]["qps"] / sa["threaded"]["qps"])
 
 
 def test_committed_bench_serving_fleet_section():

@@ -419,6 +419,7 @@ class TestCheckpointAtomicity:
 def test_drill_atomicity_via_cli(capsys):
     from repro.resilience.drill import main
 
-    assert main(["--only", "atomicity"]) == 0
+    assert main(["--only", "atomicity", "--only", "degrade"]) == 0
     out = capsys.readouterr().out
-    assert "atomicity: PASS" in out and "1/1 drills passed" in out
+    assert "atomicity: PASS" in out and "degrade: PASS" in out
+    assert "2/2 drills passed" in out

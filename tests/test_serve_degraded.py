@@ -25,12 +25,13 @@ import numpy as np
 import pytest
 
 from repro.serve import (
+    BackgroundAsyncServer,
+    BatchSettings,
     CircuitBreaker,
     LRUCache,
     ReloadRejected,
     ServiceMetrics,
     ServingRuntime,
-    make_server,
 )
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN
 
@@ -295,15 +296,14 @@ def degraded_server():
     engine = FlakyEngine()
     runtime = ServingRuntime(engine, breaker=CircuitBreaker(
         failure_threshold=2, recovery_seconds=60.0, clock=FakeClock()))
-    server = make_server(engine, port=0, metrics=ServiceMetrics(),
-                         runtime=runtime)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield engine, runtime, base
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    # One request per flush: the runtime's served counters then count
+    # requests, which the exact-count assertions below rely on.
+    bg = BackgroundAsyncServer(engine, runtime=runtime,
+                               metrics=ServiceMetrics(),
+                               settings=BatchSettings(max_batch_size=1))
+    host, port = bg.start()
+    yield engine, runtime, f"http://{host}:{port}"
+    bg.shutdown()
 
 
 def _call(method, url, body=None, timeout=10):

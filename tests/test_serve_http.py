@@ -1,7 +1,11 @@
-"""HTTP service smoke test: boot on an ephemeral port, hit every endpoint."""
+"""``repro-serve`` over HTTP: boot the server as the CLI builds it
+(asyncio, default batching, the engine's default LRU cache) on an
+ephemeral port and hit every endpoint; then its command-line flags, and
+that it always boots the asyncio server.  Bitwise parity with the
+unbatched runtime, backpressure and stress are in ``test_aio_server.py``.
+"""
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -10,7 +14,9 @@ import pytest
 
 from repro.core import CATEHGN
 from repro.eval.runner import default_cate_config
-from repro.serve import InferenceEngine, make_server
+from repro.serve import BackgroundAsyncServer, InferenceEngine
+from repro.serve.__main__ import build_parser, main
+from repro.serve.http import MAX_BODY_BYTES, READ_TIMEOUT
 
 
 @pytest.fixture(scope="module")
@@ -19,14 +25,10 @@ def served(tiny_dataset, tmp_path_factory):
     est = CATEHGN(config).fit(tiny_dataset)
     path = est.save_checkpoint(tmp_path_factory.mktemp("ckpt") / "model")
     engine = InferenceEngine.from_checkpoint(path)
-    server = make_server(engine, port=0)  # ephemeral port
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield est, engine, base
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    bg = BackgroundAsyncServer(engine)  # ephemeral port
+    host, port = bg.start()
+    yield est, engine, f"http://{host}:{port}"
+    bg.shutdown()
 
 
 def _get(url):
@@ -82,13 +84,15 @@ class TestEndpoints:
 
     def test_metrics_counts_and_latency(self, served):
         _est, _engine, base = served
+        before = _get(base + "/metrics")[1]["endpoints"].get("/predict", {})
         _get(base + "/predict?ids=1")
         _get(base + "/predict?ids=1")  # second hit -> cache hit rate > 0
         status, body = _get(base + "/metrics")
         assert status == 200
         assert body["total_requests"] >= 2
         predict = body["endpoints"]["/predict"]
-        assert predict["requests"] >= 2
+        assert predict["requests"] == before.get("requests", 0) + 2
+        assert predict["errors"] == before.get("errors", 0)
         assert predict["latency_ms_p50"] >= 0.0
         assert predict["latency_ms_p99"] >= predict["latency_ms_p50"]
         assert 0.0 <= body["cache"]["hit_rate"] <= 1.0
@@ -132,42 +136,58 @@ class TestErrorHandling:
 
     def test_errors_counted_in_metrics(self, served):
         _est, _engine, base = served
-        try:
+        before = _get(base + "/metrics")[1]["total_errors"]
+        with pytest.raises(urllib.error.HTTPError):
             _get(base + "/definitely-missing")
-        except urllib.error.HTTPError:
-            pass
         _status, body = _get(base + "/metrics")
-        assert body["total_errors"] >= 1
+        assert body["total_errors"] == before + 1
+        assert body["endpoints"]["/definitely-missing"]["errors"] == 1
 
 
 def test_cli_parser():
-    from repro.serve.__main__ import build_parser
-
     args = build_parser().parse_args(["model.npz", "--port", "9000",
                                       "--cache-size", "16"])
     assert args.checkpoint == "model.npz"
     assert args.port == 9000 and args.cache_size == 16
+    assert args.max_body_bytes == MAX_BODY_BYTES
+    assert args.read_timeout == READ_TIMEOUT
 
 
 @pytest.mark.parametrize("flags", [["--max-inflight", "8"],
                                    ["--deadline", "2.5"],
                                    ["--max-inflight", "8", "--deadline", "1"]])
 def test_cli_rejects_threaded_only_limits_with_aio(flags, capsys):
-    from repro.serve.__main__ import parse_args
-
-    with pytest.raises(SystemExit) as info:
-        parse_args(["model.npz", "--aio", *flags])
-    assert info.value.code == 2
-    assert "threaded server only" in capsys.readouterr().err
-    # Without --aio the same flags configure the threaded server.
-    assert parse_args(["model.npz", *flags]).aio is False
+    """The threaded server's limits are gone: unrecognised, exit 2,
+    with or without ``--aio``."""
+    for argv in (["model.npz", "--aio", *flags], ["model.npz", *flags]):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_aio_accepts_its_own_flags():
-    from repro.serve.__main__ import parse_args
+    args = build_parser().parse_args(
+        ["model.npz", "--aio", "--cache-size", "0", "--queue-depth", "8",
+         "--max-body-bytes", "4096", "--read-timeout", "2"])
+    assert args.cache_size == 0 and args.queue_depth == 8
+    assert args.max_body_bytes == 4096 and args.read_timeout == 2.0
 
-    args = parse_args(["model.npz", "--aio", "--cache-size", "0",
-                       "--queue-depth", "8", "--max-body-bytes", "4096",
-                       "--read-timeout", "2"])
-    assert args.aio and args.cache_size == 0 and args.queue_depth == 8
-    assert args.max_inflight is None and args.deadline is None
+
+@pytest.mark.parametrize("aio", [[], ["--aio"]])
+def test_cli_always_serves_asyncio(aio, monkeypatch):
+    import repro.serve.aio as aio_module
+    import repro.serve.engine as engine_module
+
+    calls = []
+    monkeypatch.setattr(engine_module.InferenceEngine, "from_checkpoint",
+                        classmethod(lambda cls, path, **kw: ("engine", path)))
+    monkeypatch.setattr(aio_module, "serve_forever_aio",
+                        lambda engine, **kw: calls.append((engine, kw)))
+    assert main(["model.npz", "--port", "0", "--queue-depth", "8",
+                 "--max-body-bytes", "4096", *aio]) == 0
+    [(engine, kwargs)] = calls
+    assert engine == ("engine", "model.npz")
+    assert kwargs["port"] == 0
+    assert kwargs["settings"].max_queue_depth == 8
+    assert kwargs["limits"].max_body_bytes == 4096
